@@ -241,14 +241,27 @@ def package_version() -> str:
         return __version__
 
 
+class _VersionAction(argparse.Action):
+    """``--version`` that looks the version up only when asked: the
+    metadata lookup would otherwise cost every command ~20 ms."""
+
+    def __init__(self, option_strings, dest=argparse.SUPPRESS,
+                 help="show program's version number and exit"):
+        super().__init__(option_strings, dest, default=argparse.SUPPRESS,
+                         nargs=0, help=help)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        print(f"{parser.prog} {package_version()}")
+        parser.exit()
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of 'Token Tenure: PATCHing Token "
                     "Counting Using Directory-Based Cache Coherence' "
                     "(MICRO-41 2008)")
-    parser.add_argument("--version", action="version",
-                        version=f"%(prog)s {package_version()}")
+    parser.add_argument("--version", action=_VersionAction)
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run one simulation")
@@ -985,21 +998,28 @@ def _cmd_study_list(args) -> int:
 
 
 def _cmd_study_submit(args) -> int:
-    from repro.service.client import ServiceClient
+    # Imported here so no other study command loads the service stack.
+    from repro.service.client import ServiceClient, ServiceError
     spec = StudySpec.load(args.spec)
-    client = ServiceClient(args.server, timeout=args.timeout)
-    submitted = client.submit(spec)
-    study_id = submitted["study"]
-    sub = submitted["submission"]
-    print(f"[service] study {study_id} {submitted['state']} on "
-          f"{args.server} ({sub['hits']} cached, {sub['shared']} shared, "
-          f"{sub['queued']} queued)", file=sys.stderr)
-    if args.no_wait:
-        print(study_id)
-        print(f"(fetch later with: repro study submit {args.spec} "
-              f"--server {args.server})", file=sys.stderr)
-        return 0
-    result = client.wait(study_id, timeout=args.timeout)
+    try:
+        client = ServiceClient(args.server, timeout=args.timeout)
+        submitted = client.submit(spec)
+        study_id = submitted["study"]
+        sub = submitted["submission"]
+        print(f"[service] study {study_id} {submitted['state']} on "
+              f"{args.server} ({sub['hits']} cached, {sub['shared']} "
+              f"shared, {sub['queued']} queued)", file=sys.stderr)
+        if args.no_wait:
+            print(study_id)
+            print(f"(fetch later with: repro study submit {args.spec} "
+                  f"--server {args.server})", file=sys.stderr)
+            return 0
+        result = client.wait(study_id, timeout=args.timeout)
+    except ServiceError as exc:
+        # Unreachable server or a server-side rejection (the body is
+        # the same pointed SpecError text a local run prints).
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     _print_study_table(result)
     _print_exec_epilogue(result)
     return 0
@@ -1017,7 +1037,6 @@ _STUDY_COMMANDS = {
 
 def cmd_study(args) -> int:
     from repro.exec import ManifestError
-    from repro.service.client import ServiceError
     try:
         return _STUDY_COMMANDS[args.study_command](args)
     except ManifestError as exc:
@@ -1028,11 +1047,6 @@ def cmd_study(args) -> int:
     except (OSError, SpecError) as exc:
         # Missing/corrupt spec files and schema violations are user
         # errors, not tracebacks.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ServiceError as exc:
-        # Unreachable server or a server-side rejection (the body is
-        # the same pointed SpecError text a local run prints).
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TimeoutError as exc:

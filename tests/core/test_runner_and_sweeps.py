@@ -122,6 +122,19 @@ def test_single_seed_run_degenerate_t_interval():
     assert ci.mean == experiment.runs[0].runtime_cycles
 
 
+def test_runtime_mean_equals_ci_mean_without_a_quantile(monkeypatch):
+    """runtime_mean is sum/n, bit-identical to runtime_ci.mean, and
+    builds no confidence interval to get there."""
+    from types import SimpleNamespace
+    values = (0.1, 0.2, 0.3, 1e16, 1.0, -1e16)  # float sums order-sensitive
+    experiment = ExperimentResult(
+        "floats", [SimpleNamespace(runtime_cycles=v) for v in values])
+    assert experiment.runtime_mean == experiment.runtime_ci.mean
+    monkeypatch.setattr("repro.api.result.t_interval",
+                        lambda *a, **k: pytest.fail("built a CI"))
+    assert experiment.runtime_mean == sum(values) / len(values)
+
+
 def test_zero_miss_runs_aggregate_to_zero_not_nan():
     """misses=0: per-miss means must be 0.0, never a ZeroDivisionError."""
     experiment = ExperimentResult("all-hits",
